@@ -1,30 +1,16 @@
 //! Writes a `BENCH_engine.json` op-layer throughput snapshot: `Engine::apply`
-//! ops/sec and `advance_to` cost at 1k/10k/100k live files, measured
-//! like-for-like under the epoch-bucketed [`fi_chain::tasks::TaskWheel`]
-//! and the pre-refactor per-file `BTreeMap` scheduler
-//! ([`fi_chain::tasks::PendingList`]).
+//! ops/sec and `advance_to` cost at 1k/10k/100k live files.
 //!
 //! Usage: `cargo run --release -p fi-bench --bin engine_snapshot [out.json]`
 //!
-//! The workload is the per-file scheduling regime the refactor targets:
-//! one file added per tick over a proof cycle of `n` ticks, so every one
-//! of the `n` live files carries its own distinct `Auto_CheckProof`
-//! timestamp. Two `advance_to` measurements per scale:
+//! The first section is the per-file scheduling regime: one file added
+//! per tick over a proof cycle of `n` ticks, so every one of the `n` live
+//! files carries its own distinct `Auto_CheckProof` timestamp, then one
+//! whole `ProofCycle` advance executes every file's `Auto_CheckProof`
+//! (rent, late checks, reschedule).
 //!
-//! * **full engine** — one whole `ProofCycle` advance: every file's
-//!   `Auto_CheckProof` executes (rent, late checks, reschedule), so the
-//!   scheduler's share is diluted by protocol work;
-//! * **scheduler churn** — the same task population (`n` tasks, one per
-//!   timestamp across the cycle) popped in engine order (`next_time` →
-//!   `pop_due`) and rescheduled one cycle out, three cycles long, against
-//!   the bare scheduler. This isolates the scheduling cost the full-engine
-//!   number dilutes and is what the ≥3x acceptance bar applies to.
-//!
-//! Both engines must agree on every state root — asserted, which doubles
-//! as a wheel-vs-BTreeMap consensus-equivalence test at 100k-file scale.
-//!
-//! A third section measures the **sharded audit pipeline**: 100k files
-//! whose `Auto_CheckProof`s land in one wheel bucket (the batch regime a
+//! A second section measures the **sharded audit pipeline**: 100k files
+//! whose `Auto_CheckProof`s land in one due bucket (the batch regime a
 //! real chain sees — many ops per block), advanced through a full proof
 //! cycle at 1, 4 and 8 shards. The verify phase (modeled Merkle storage
 //! proof checks) fans out across the persistent worker pool; the commit
@@ -37,7 +23,7 @@
 //! bar; on smaller hosts the number is recorded but not gated, since a
 //! 1-core box has no parallelism to win).
 //!
-//! A fourth section measures the **pipelined batch ingest**: 50k
+//! A third section measures the **pipelined batch ingest**: 50k
 //! `File_Prove` ops (each a modeled WindowPoSt verification) fed through
 //! the op-by-op `Engine::apply` loop versus one `Engine::apply_batch`
 //! call, at every `(shards, ingest_threads)` configuration in
@@ -46,7 +32,7 @@
 //! 4-thread batch path must ingest ≥ 4x faster than the sequential loop
 //! (CI-gated; recorded only on smaller hosts).
 //!
-//! A fifth axis records the **multi-lane SHA-256** work: every sharded
+//! A fourth axis records the **multi-lane SHA-256** work: every sharded
 //! advance is the median of three fresh-engine runs, shard counts are
 //! asserted noise-neutral (≤ 2x median spread) on 1-core hosts, the
 //! 1-shard advance is re-run with the backend forced to the frozen scalar
@@ -55,7 +41,7 @@
 //! `digest_many` MB/s plus lockstep Merkle authentication-path
 //! verification rates, scalar vs best detected backend.
 //!
-//! A sixth (`parallel`) section records the end-to-end parallel engine:
+//! A fifth (`parallel`) section records the end-to-end parallel engine:
 //! the same 100k-file one-bucket full-cycle advance at `(1 shard, 1
 //! thread)` vs `(8 shards, 4 threads)`, with the per-phase wall-clock
 //! breakdown ([`Engine::phase_times`]: stage / commit / verify / fold)
@@ -63,7 +49,7 @@
 //! and audit roots are asserted bit-identical, and on ≥ 4-core hosts the
 //! 8x4 cell must clear a ≥ 4x full-cycle speedup over 1x1.
 //!
-//! A seventh (`store`) section measures the content-addressed state
+//! A sixth (`store`) section measures the content-addressed state
 //! commitment (DESIGN.md §15): a 100k-file fill with the five HAMT state
 //! trees on the in-memory versus the append-only disk blockstore, plus
 //! both snapshot transports — the full `FISNAPSH` save/restore and the
@@ -75,7 +61,6 @@
 use std::time::Instant;
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_chain::tasks::{Scheduler, SchedulerKind};
 use fi_core::engine::{Engine, StateView};
 use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
@@ -104,7 +89,7 @@ fn proof_cycle_for(n: u64) -> u64 {
     n.max(1_000)
 }
 
-fn bench_params(n: u64, kind: SchedulerKind) -> ProtocolParams {
+fn bench_params(n: u64) -> ProtocolParams {
     let cycle = proof_cycle_for(n);
     ProtocolParams {
         // One replica per file: the scheduling layer is what varies with
@@ -113,14 +98,12 @@ fn bench_params(n: u64, kind: SchedulerKind) -> ProtocolParams {
         proof_cycle: cycle,
         proof_due: 2 * cycle,
         proof_deadline: 4 * cycle,
-        // Refreshes are rare enough to not fire within the measured cycle
-        // (identical on both sides either way, but this keeps the numbers
-        // about scheduling + proof accounting).
+        // Refreshes are rare enough to not fire within the measured cycle,
+        // which keeps the numbers about scheduling + proof accounting.
         avg_refresh: 1_000_000.0,
         delay_per_size: 1,
-        scheduler: kind,
-        // The wheel-vs-btree sections measure scheduling, not sharding:
-        // pin one shard regardless of any FI_TEST_SHARDS in the env.
+        // This section measures scheduling, not sharding: pin one shard
+        // regardless of any FI_TEST_SHARDS in the env.
         shards: 1,
         ..ProtocolParams::default()
     }
@@ -130,7 +113,6 @@ struct EngineRun {
     ops_per_sec: f64,
     /// Seconds for `advance_to(now + ProofCycle)` over `n` live files.
     advance_s: f64,
-    state_root: fi_crypto::Hash256,
 }
 
 /// Builds an engine with `n` live files, one added (and confirmed) per
@@ -138,8 +120,8 @@ struct EngineRun {
 /// measures a whole-cycle `advance_to`. All actions go through the public
 /// wrappers, i.e. through `Engine::apply` — ops/sec is counted off the op
 /// log itself.
-fn run_engine(n: u64, kind: SchedulerKind) -> EngineRun {
-    let params = bench_params(n, kind);
+fn run_engine(n: u64) -> EngineRun {
+    let params = bench_params(n);
     let cycle = params.proof_cycle;
     let min_value = params.min_value;
     let mut engine = Engine::new(params).expect("valid parameters");
@@ -184,42 +166,11 @@ fn run_engine(n: u64, kind: SchedulerKind) -> EngineRun {
     EngineRun {
         ops_per_sec,
         advance_s,
-        state_root: engine.state_root(),
     }
-}
-
-/// The scheduler-isolated trace: the same task population the engine run
-/// carries — `n` per-file tasks, one per timestamp across a `cycle`-tick
-/// proof cycle — popped in engine order (`next_time` → `pop_due`) and
-/// rescheduled one cycle out, for `cycles` cycles. Exactly the churn
-/// `advance_to` inflicts on the pending list, minus protocol work.
-fn run_scheduler_churn(n: u64, kind: SchedulerKind, cycles: u64) -> f64 {
-    let spread = proof_cycle_for(n); // one task per timestamp, like the engine
-    let mut sched: Scheduler<u64> = Scheduler::new(kind, 10);
-    for i in 0..n {
-        sched.schedule(i % spread, i);
-    }
-    let t = Instant::now();
-    let mut popped_total = 0u64;
-    for c in 1..=cycles {
-        let target = c * spread - 1; // covers timestamps [(c-1)·spread, c·spread)
-        while let Some(ts) = sched.next_time() {
-            if ts > target {
-                break;
-            }
-            for (time, task) in sched.pop_due(ts) {
-                sched.schedule(time + spread, task);
-                popped_total += 1;
-            }
-        }
-    }
-    let elapsed = t.elapsed().as_secs_f64();
-    assert_eq!(popped_total, n * cycles, "every task fires every cycle");
-    elapsed
 }
 
 /// One sharded-audit measurement: a full-cycle `advance_to` over `n`
-/// files whose `Auto_CheckProof`s share a single wheel bucket.
+/// files whose `Auto_CheckProof`s share a single due bucket.
 struct ShardedRun {
     shards: usize,
     threads: usize,
@@ -634,35 +585,16 @@ fn run_store(disk: bool) -> StoreRun {
 
 struct ScaleResult {
     n: u64,
-    wheel: EngineRun,
-    btree: EngineRun,
-    churn_wheel_s: f64,
-    churn_btree_s: f64,
+    run: EngineRun,
 }
 
 impl ScaleResult {
-    fn advance_speedup(&self) -> f64 {
-        self.btree.advance_s / self.wheel.advance_s
-    }
-
-    fn churn_speedup(&self) -> f64 {
-        self.churn_btree_s / self.churn_wheel_s
-    }
-
     fn json(&self) -> String {
         format!(
-            "    {{\"live_files\": {}, \"apply_ops_per_sec_wheel\": {:.0}, \"apply_ops_per_sec_btree\": {:.0}, \
-             \"advance_full_cycle_ms_wheel\": {:.3}, \"advance_full_cycle_ms_btree\": {:.3}, \"advance_full_cycle_speedup\": {:.2}, \
-             \"scheduler_churn_ms_wheel\": {:.3}, \"scheduler_churn_ms_btree\": {:.3}, \"scheduler_churn_speedup\": {:.2}}}",
+            "    {{\"live_files\": {}, \"apply_ops_per_sec\": {:.0}, \"advance_full_cycle_ms\": {:.3}}}",
             self.n,
-            self.wheel.ops_per_sec,
-            self.btree.ops_per_sec,
-            self.wheel.advance_s * 1e3,
-            self.btree.advance_s * 1e3,
-            self.advance_speedup(),
-            self.churn_wheel_s * 1e3,
-            self.churn_btree_s * 1e3,
-            self.churn_speedup(),
+            self.run.ops_per_sec,
+            self.run.advance_s * 1e3,
         )
     }
 }
@@ -674,34 +606,14 @@ fn main() {
 
     let mut results = Vec::new();
     for n in [1_000u64, 10_000, 100_000] {
-        let wheel = run_engine(n, SchedulerKind::Wheel);
-        let btree = run_engine(n, SchedulerKind::BTree);
-        assert_eq!(
-            wheel.state_root, btree.state_root,
-            "wheel and BTreeMap schedulers must drive identical consensus at n={n}"
-        );
-        // Median of three for the bare-scheduler churn (it's fast).
-        let med = |kind: SchedulerKind| -> f64 {
-            let mut xs: Vec<f64> = (0..3).map(|_| run_scheduler_churn(n, kind, 3)).collect();
-            xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            xs[1]
-        };
-        let churn_wheel_s = med(SchedulerKind::Wheel);
-        let churn_btree_s = med(SchedulerKind::BTree);
         let r = ScaleResult {
             n,
-            wheel,
-            btree,
-            churn_wheel_s,
-            churn_btree_s,
+            run: run_engine(n),
         };
         println!(
-            "n={n}: apply {:.0} ops/s, advance_to full-cycle {:.1} ms (wheel) vs {:.1} ms (btree) = {:.2}x, scheduler churn {:.2}x",
-            r.wheel.ops_per_sec,
-            r.wheel.advance_s * 1e3,
-            r.btree.advance_s * 1e3,
-            r.advance_speedup(),
-            r.churn_speedup()
+            "n={n}: apply {:.0} ops/s, advance_to full-cycle {:.1} ms",
+            r.run.ops_per_sec,
+            r.run.advance_s * 1e3,
         );
         results.push(r);
     }
@@ -978,11 +890,11 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"suite\": \"fi-core op-layer throughput: Engine::apply + advance_to, epoch wheel vs BTreeMap pending list, sharded audit pipeline, pipelined batch ingest, multi-lane SHA-256\",\n  \
-           \"unit_note\": \"per-file regime: n live files, one Auto_CheckProof per timestamp across an n-tick proof cycle; advance_full_cycle = one ProofCycle advance executing every file's Auto_CheckProof (protocol work included); scheduler_churn = same task population against the bare scheduler (3 cycles, median of 3 runs) — the isolated like-for-like scheduling cost\",\n  \
+        "{{\n  \"suite\": \"fi-core op-layer throughput: Engine::apply + advance_to, sharded audit pipeline, pipelined batch ingest, multi-lane SHA-256\",\n  \
+           \"unit_note\": \"per-file regime: n live files, one Auto_CheckProof per timestamp across an n-tick proof cycle; advance_full_cycle = one ProofCycle advance executing every file's Auto_CheckProof (protocol work included)\",\n  \
            \"available_parallelism\": {parallelism},\n  \
            \"results\": [\n{}\n  ],\n  \
-           \"sharded_audit\": {{\n    \"note\": \"batch regime: 100k size-1 files, every Auto_CheckProof in one wheel bucket; advance = one full proof cycle (batched multi-lane Merkle verify at audit_path_len 64 + batched per-shard audit commit when sharded), median of 3 fresh-engine runs per shard count; state and audit roots asserted identical across shard counts and vs the forced-scalar run; shard count is asserted noise-neutral (<= 2x median spread) on 1-core hosts, the >=4x 8v1 bar is gated when >=4 cores are available, and the >=3x scalar-vs-SIMD bar is gated when a SIMD backend is detected\",\n    \"available_parallelism\": {parallelism},\n    \"sha_backend\": \"{}\",\n    \"shard_spread_max_over_min\": {:.2},\n    \"scalar_sha_advance_full_cycle_ms\": {:.3},\n    \"simd_speedup_vs_scalar\": {:.2},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
+           \"sharded_audit\": {{\n    \"note\": \"batch regime: 100k size-1 files, every Auto_CheckProof in one due bucket; advance = one full proof cycle (batched multi-lane Merkle verify at audit_path_len 64 + batched per-shard audit commit when sharded), median of 3 fresh-engine runs per shard count; state and audit roots asserted identical across shard counts and vs the forced-scalar run; shard count is asserted noise-neutral (<= 2x median spread) on 1-core hosts, the >=4x 8v1 bar is gated when >=4 cores are available, and the >=3x scalar-vs-SIMD bar is gated when a SIMD backend is detected\",\n    \"available_parallelism\": {parallelism},\n    \"sha_backend\": \"{}\",\n    \"shard_spread_max_over_min\": {:.2},\n    \"scalar_sha_advance_full_cycle_ms\": {:.3},\n    \"simd_speedup_vs_scalar\": {:.2},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
            \"hash\": {{\n    \"note\": \"multi-lane SHA-256 micro: digest_many over 8192 x 1KiB messages (MB/s) and lockstep Merkle authentication-path verification over 4096 proofs against a 4096-leaf tree (paths/s), frozen scalar reference vs best detected backend, median of 3; digests asserted identical before timing\",\n    \"backends_available\": [{backend_list}],\n    \"best_backend\": \"{}\",\n    \"digest_many_scalar_mb_s\": {:.1},\n    \"digest_many_best_mb_s\": {:.1},\n    \"digest_many_speedup\": {:.2},\n    \"merkle_paths_scalar_per_sec\": {:.0},\n    \"merkle_paths_best_per_sec\": {:.0},\n    \"merkle_paths_speedup\": {:.2}\n  }},\n  \
            \"ingest\": {{\n    \"note\": \"batch ingest: 50k File_Prove ops (modeled WindowPoSt verification, audit_path_len 64) as one shard-local segment; apply = op-by-op sequential loop, apply_batch = parallel staging + sequential in-order commit; state roots and block hashes asserted identical between both paths and across all configs; the >=4x bar on the last (8-shard/4-thread) row is gated when >=4 cores are available\",\n    \"available_parallelism\": {parallelism},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
            \"parallel\": {{\n    \"note\": \"end-to-end parallel engine: the 100k-file one-bucket full-cycle advance at (1 shard, 1 ingest thread) vs (8 shards, 4 ingest threads) on the persistent worker pool — verify fan-out plus batched per-shard audit commit; phase_* are Engine::phase_times wall-clock ms for one sampled advance; state and audit roots asserted bit-identical between the cells; the >=4x speedup bar is gated when >=4 cores are available\",\n    \"available_parallelism\": {parallelism},\n    \"speedup_8x4_vs_1x1\": {parallel_speedup:.2},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
@@ -1007,16 +919,6 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write snapshot");
     println!("{json}");
     println!("wrote {out_path}");
-
-    // Acceptance bar: at 100k live files the epoch wheel must beat the
-    // pre-refactor per-file BTreeMap scheduler by >= 3x like-for-like.
-    let top = results.last().expect("scales measured");
-    let churn = top.churn_speedup();
-    assert!(
-        churn >= 3.0,
-        "scheduler churn speedup {churn:.2}x at {}k files fell below the 3x acceptance bar",
-        top.n / 1_000
-    );
 
     // Acceptance bar: the 8-shard engine must finish the full-cycle
     // advance >= 4x faster than the 1-shard engine at 100k files (the bar

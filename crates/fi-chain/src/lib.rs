@@ -43,4 +43,4 @@ pub mod tasks;
 pub use account::{AccountId, Ledger, LedgerError, TokenAmount};
 pub use block::{Block, BlockChain, ChainEvent};
 pub use gas::{GasError, GasMeter, GasSchedule, Op};
-pub use tasks::{PendingList, Scheduler, SchedulerKind, TaskWheel};
+pub use tasks::PendingList;

@@ -60,7 +60,30 @@ use crate::types::{
 use super::pool::JobBatch;
 use super::shard::{Shard, ShardSlice, ShardedState};
 use super::statemap::TrackedMap;
-use super::{tuning, Engine, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, RENT_POOL, TRAFFIC_ESCROW};
+use super::{Engine, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, RENT_POOL, TRAFFIC_ESCROW};
+
+// Strategy gates. Each one reads consensus state only (task and write
+// counts), never the host's core count, and every strategy it picks is
+// bit-identical to the others — the differential tests in
+// `tests/parallel_commit.rs` and this module's synthetic-shard tests pin it.
+
+/// Due buckets with fewer `Auto_CheckProof` tasks than this verify inline:
+/// fanning out across the worker pool costs more than a few Merkle walks.
+const PARALLEL_VERIFY_THRESHOLD: usize = 64;
+
+/// Due buckets with fewer `Auto_CheckProof` tasks (and flushes with fewer
+/// deferred writes) than this commit sequentially: planning per-shard
+/// write batches on the pool only pays on large buckets.
+pub(super) const PARALLEL_AUDIT_COMMIT_THRESHOLD: usize = 64;
+
+/// Shard slices with fewer audit tasks than this take the per-task
+/// reference path: filling multi-lane buffers costs more than a couple of
+/// Merkle walks.
+const BATCH_VERIFY_THRESHOLD: usize = 4;
+
+/// Lanes per batched path-walk tile: each level re-materialises ~100 bytes
+/// per lane, so a tile keeps the working set cache-resident.
+const LANE_TILE: usize = 4096;
 
 /// The read-only verdict of auditing one `Auto_CheckProof` task: a
 /// commitment over every verified replica proof, later folded into the
@@ -104,7 +127,7 @@ impl Engine {
                 })
                 .sum()
         };
-        if shards.len() > 1 && audit_tasks() >= tuning::parallel_verify_threshold() {
+        if shards.len() > 1 && audit_tasks() >= PARALLEL_VERIFY_THRESHOLD {
             // Shards are chunked over at most the pool's worker count — a
             // 256-shard engine on a 4-core host gets 4 jobs of 64 shards
             // each, not 256 one-audit jobs. Chunks are contiguous and
@@ -346,7 +369,7 @@ impl Engine {
         if total == 0 {
             return;
         }
-        if total >= tuning::parallel_audit_commit_threshold() {
+        if total >= PARALLEL_AUDIT_COMMIT_THRESHOLD {
             let pool = self.pool();
             let mut jobs: JobBatch<'_> = Vec::new();
             for (shard, writes) in self.shards.shards.iter_mut().zip(pending.iter_mut()) {
@@ -985,7 +1008,7 @@ cached_domain!(fn audit_fold_domain, "fileinsurer/audit-fold");
 /// in one shard's slice. Pure and shard-local: it reads the shard's file
 /// descriptors and allocation rows, nothing else.
 ///
-/// Slices with at least [`tuning::batch_verify_threshold`] audit tasks run
+/// Slices with at least `BATCH_VERIFY_THRESHOLD` audit tasks run
 /// the batched pipeline: per-replica path walks become lockstep SIMD hash
 /// lanes, bit-identical to calling [`verify_check_proof`] per task.
 fn verify_slice(
@@ -1003,7 +1026,7 @@ fn verify_slice(
         })
         .collect();
     let mut out: Vec<Option<ProofAudit>> = vec![None; slice.len()];
-    if tasks.len() < tuning::batch_verify_threshold() {
+    if tasks.len() < BATCH_VERIFY_THRESHOLD {
         for &(slot, file) in &tasks {
             out[slot] = Some(verify_check_proof(shard, file, now, path_len));
         }
@@ -1046,7 +1069,7 @@ fn verify_slice(
     // Each lane's chain is sequential, but the lanes are independent, so
     // every level is one multi-lane sweep across the whole tile.
     let mut nodes: Vec<Hash256> = Vec::with_capacity(lanes.len());
-    for tile in lanes.chunks(tuning::lane_tile()) {
+    for tile in lanes.chunks(LANE_TILE) {
         let leaf_lanes: Vec<[&[u8]; 4]> = tile
             .iter()
             .map(|(_, root, i_be, last_be)| {
@@ -1143,13 +1166,12 @@ mod tests {
     use super::*;
     use crate::types::{AllocEntry, FileDescriptor, FileState};
     use fi_chain::account::AccountId;
-    use fi_chain::tasks::SchedulerKind;
 
     /// A shard with `files` synthetic descriptors mixing replica counts and
     /// entry states: normal proofs on record, never-proved, corrupted, and
     /// mid-transfer rows — every skip branch of the verifier.
     fn synthetic_shard(files: u64) -> Shard {
-        let mut shard = Shard::new(SchedulerKind::Wheel, 1);
+        let mut shard = Shard::new();
         for f in 0..files {
             let file = FileId(f);
             let cp = 1 + (f % 4) as u32;

@@ -54,7 +54,6 @@ use crate::types::{
     SectorState,
 };
 
-use super::lifecycle::FileAddPrestage;
 use super::pool::JobBatch;
 use super::shard::Shard;
 use super::statemap::TrackedMap;
@@ -711,17 +710,7 @@ impl Engine {
     /// worker executes its shards' ops in submission order against a
     /// [`ShardOverlay`]. Pure with respect to the engine — all effects are
     /// returned, none applied.
-    ///
-    /// The `File_Add` ops among `upcoming_barriers` (the barrier run that
-    /// ends this segment) have their pure halves pre-staged in the same
-    /// pool run — fee/validation/erasure-geometry work overlaps the shard
-    /// workers, and only the sampler/rng draws remain for the serialized
-    /// barrier commit. Returns one prestage slot per barrier op.
-    pub(super) fn stage_segment(
-        &self,
-        ops: &[Op],
-        upcoming_barriers: &[Op],
-    ) -> (Vec<StagedOp>, Vec<Option<FileAddPrestage>>) {
+    pub(super) fn stage_segment(&self, ops: &[Op]) -> Vec<StagedOp> {
         let shard_count = self.shards.shards.len();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
         for (i, op) in ops.iter().enumerate() {
@@ -747,11 +736,9 @@ impl Engine {
         let chunks: Vec<&[usize]> = occupied.chunks(chunk_len).collect();
         let mut chunk_out: Vec<Vec<(usize, StagedOp)>> =
             chunks.iter().map(|_| Vec::new()).collect();
-        let mut prestages: Vec<Option<FileAddPrestage>> =
-            upcoming_barriers.iter().map(|_| None).collect();
 
         let pool = self.pool();
-        let mut jobs: JobBatch<'_> = Vec::with_capacity(chunks.len() + 1);
+        let mut jobs: JobBatch<'_> = Vec::with_capacity(chunks.len());
         for (shard_ids, slot) in chunks.into_iter().zip(chunk_out.iter_mut()) {
             jobs.push(Box::new(move || {
                 let mut staged: Vec<(usize, Hash256, StagedEffects)> = Vec::new();
@@ -792,21 +779,6 @@ impl Engine {
                     .collect();
             }));
         }
-        if upcoming_barriers
-            .iter()
-            .any(|op| matches!(op, Op::FileAdd { .. }))
-        {
-            let params = &self.params;
-            let gas = &self.gas;
-            let slots = &mut prestages;
-            jobs.push(Box::new(move || {
-                for (op, out) in upcoming_barriers.iter().zip(slots.iter_mut()) {
-                    if let Op::FileAdd { size, value, .. } = op {
-                        *out = Some(FileAddPrestage::compute(params, gas, *size, *value));
-                    }
-                }
-            }));
-        }
         pool.run(jobs);
 
         let mut out: Vec<Option<StagedOp>> = ops.iter().map(|_| None).collect();
@@ -815,10 +787,8 @@ impl Engine {
                 out[i] = Some(staged);
             }
         }
-        let staged = out
-            .into_iter()
+        out.into_iter()
             .map(|staged| staged.expect("every segment op staged exactly once"))
-            .collect();
-        (staged, prestages)
+            .collect()
     }
 }

@@ -14,7 +14,7 @@
 //! * [`mod@self`] — dispatch, time advancement, gas, the op log,
 //!   checkpoints;
 //! * `shard` — the sharded per-file core: file descriptors, allocation
-//!   rows, discard reasons, per-shard task wheels and stats, routed by
+//!   rows, discard reasons, per-shard pending lists and stats, routed by
 //!   `FileId % shards` (ids are allocated from one global counter, so
 //!   shard `s` owns the strided ids `s, s + n, s + 2n, …`);
 //! * `lifecycle` — client/provider requests (Figs. 4–6): add, confirm,
@@ -26,8 +26,8 @@
 //!   retry, reservations and rollback, sector draining, the §VI-B Poisson
 //!   swap-in.
 //!
-//! `Auto_` tasks execute from per-shard epoch-bucketed wheels
-//! ([`fi_chain::tasks::TaskWheel`]) when [`Engine::advance_to`] moves time
+//! `Auto_` tasks execute from per-shard pending lists
+//! ([`fi_chain::tasks::PendingList`]) when [`Engine::advance_to`] moves time
 //! past their deadline. Each due bucket runs in two phases: a read-only
 //! **verify** phase (the modeled Merkle storage-proof checks of
 //! `Auto_CheckProof`, fanned out across the persistent worker pool in
@@ -62,7 +62,6 @@ mod pool;
 mod shard;
 mod snapshot;
 mod statemap;
-pub mod tuning;
 mod view;
 
 use std::collections::{BTreeSet, HashMap};
@@ -83,9 +82,8 @@ use crate::sampler::WeightedSampler;
 use crate::segment::SegmentedFile;
 use crate::types::{FileId, ProtocolEvent, Sector, SectorId};
 
-use self::audit::ProofAudit;
+use self::audit::{ProofAudit, PARALLEL_AUDIT_COMMIT_THRESHOLD};
 use self::batch::{ledger_steps_match, shard_local_file};
-use self::lifecycle::FileAddPrestage;
 use self::pool::{PoolHandle, WorkerPool};
 use self::shard::ShardedState;
 use self::statemap::{CommitCell, TrackedMap};
@@ -102,6 +100,12 @@ pub const COMPENSATION_POOL: AccountId = AccountId(2);
 pub const RENT_POOL: AccountId = AccountId(3);
 /// Traffic-fee escrow: prepaid transfer fees awaiting confirms.
 pub const TRAFFIC_ESCROW: AccountId = AccountId(4);
+
+/// `apply_batch` segments with fewer shard-local ops than this commit
+/// through plain sequential `apply`: dispatching staging jobs costs more
+/// than a handful of map lookups and Merkle walks. The gate reads the op
+/// count only, and the outcome is bit-identical either way.
+const PARALLEL_INGEST_THRESHOLD: usize = 64;
 
 /// Errors returned by engine request handlers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,8 +302,8 @@ impl EngineStats {
 /// replayed engine starts from zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Batch-ingest staging: concurrent shard-overlay execution plus the
-    /// barrier `File_Add` prestaging riding in the same pool run.
+    /// Batch-ingest staging: concurrent shard-overlay execution and op
+    /// digests.
     pub stage_s: f64,
     /// Batch-ingest commit: in-order ledger revalidation and effect
     /// application (including sequential fallbacks).
@@ -355,7 +359,7 @@ pub struct Engine {
     ledger: Ledger,
     gas: GasSchedule,
     /// The per-file core, partitioned by `FileId % shards`: descriptors,
-    /// allocation rows, discard reasons, task wheels, per-shard stats.
+    /// allocation rows, discard reasons, pending lists, per-shard stats.
     shards: ShardedState,
     sectors: TrackedMap<SectorId, Sector>,
     cr: TrackedMap<SectorId, CrAccounting>,
@@ -454,7 +458,7 @@ impl Engine {
             chain,
             ledger: Ledger::new(),
             gas: GasSchedule::default(),
-            shards: ShardedState::new(params.shards, params.scheduler, params.block_interval),
+            shards: ShardedState::new(params.shards),
             sectors: TrackedMap::new(),
             cr: TrackedMap::new(),
             sector_replicas: HashMap::new(),
@@ -503,25 +507,8 @@ impl Engine {
     /// [`Op`] variant's wrapper method).
     pub fn apply(&mut self, op: Op) -> Result<Receipt, EngineError> {
         let op_digest = op.digest();
-        self.apply_prehashed(op, op_digest, None)
-    }
-
-    /// [`Engine::apply`] with the op's canonical digest precomputed.
-    /// [`Engine::apply_batch`] hashes a block's barrier ops in one
-    /// multi-lane sweep ([`Op::digest_many`]) and commits each through
-    /// here; the digest MUST be `op.digest()` or the block commitment
-    /// diverges from replay. `prestage` optionally carries a `File_Add`'s
-    /// precomputed pure half (validation, fees, geometry) — the pipelined
-    /// batch path computes it concurrently with segment staging; `None`
-    /// computes it inline through the identical pure function.
-    fn apply_prehashed(
-        &mut self,
-        op: Op,
-        op_digest: Hash256,
-        prestage: Option<FileAddPrestage>,
-    ) -> Result<Receipt, EngineError> {
         let at = self.now();
-        let result = self.dispatch(&op, prestage);
+        let result = self.dispatch(&op);
         let receipt_digest = match &result {
             Ok(receipt) => receipt.digest(),
             Err(err) => Receipt::error_digest(err),
@@ -537,11 +524,7 @@ impl Engine {
         result
     }
 
-    fn dispatch(
-        &mut self,
-        op: &Op,
-        prestage: Option<FileAddPrestage>,
-    ) -> Result<Receipt, EngineError> {
+    fn dispatch(&mut self, op: &Op) -> Result<Receipt, EngineError> {
         match op {
             Op::SectorRegister { owner, capacity } => self
                 .sector_register_op(*owner, *capacity)
@@ -554,16 +537,9 @@ impl Engine {
                 size,
                 value,
                 merkle_root,
-            } => {
-                // One pure function computes the prestage on both paths:
-                // pipelined batches hand it in, sequential dispatch
-                // computes it here — bit-identical by construction.
-                let pre = prestage.unwrap_or_else(|| {
-                    FileAddPrestage::compute(&self.params, &self.gas, *size, *value)
-                });
-                self.file_add_op(*client, *size, *value, *merkle_root, pre)
-                    .map(|(file, cp)| Receipt::FileAdded { file, cp })
-            }
+            } => self
+                .file_add_op(*client, *size, *value, *merkle_root)
+                .map(|(file, cp)| Receipt::FileAdded { file, cp }),
             // The five shard-local ops share one staged executor with the
             // batch-ingest path (`engine/batch.rs`): sequential dispatch is
             // staging against live state plus an immediate commit.
@@ -626,15 +602,6 @@ impl Engine {
     /// receipts, same block hashes, same op log (see DESIGN.md §10 and the
     /// randomized equivalence tests in `tests/batch_ingest.rs`).
     pub fn apply_batch(&mut self, ops: Vec<Op>) -> Vec<Result<Receipt, EngineError>> {
-        // Pre-stage the barrier ops' canonical digests in one multi-lane
-        // sweep; the segments' op digests are batched inside the staging
-        // workers, and the barriers' `File_Add` prestages ride along in the
-        // same pool runs. Consumed in submission order below.
-        let barriers: Vec<&Op> = ops
-            .iter()
-            .filter(|op| shard_local_file(op).is_none())
-            .collect();
-        let mut barrier_digests = Op::digest_many(&barriers).into_iter();
         let mut results = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
@@ -643,26 +610,11 @@ impl Engine {
             while i < ops.len() && shard_local_file(&ops[i]).is_some() {
                 i += 1;
             }
-            let seg_end = i;
-            // … followed by the (possibly empty) barrier run that ends it.
-            let bar_start = i;
-            while i < ops.len() && shard_local_file(&ops[i]).is_none() {
+            self.commit_segment(&ops[seg_start..i], &mut results);
+            // … then the barrier that ends it, if any.
+            if let Some(op) = ops.get(i) {
+                results.push(self.apply(op.clone()));
                 i += 1;
-            }
-            let bar_end = i;
-            // Staging the segment also prestages the upcoming barriers'
-            // `File_Add` pure halves, concurrently with the shard workers.
-            let mut prestages = self.commit_segment(
-                &ops[seg_start..seg_end],
-                &ops[bar_start..bar_end],
-                &mut results,
-            );
-            for (k, op) in ops[bar_start..bar_end].iter().enumerate() {
-                let digest = barrier_digests
-                    .next()
-                    .expect("one pre-staged digest per barrier op");
-                let pre = prestages.get_mut(k).and_then(Option::take);
-                results.push(self.apply_prehashed(op.clone(), digest, pre));
             }
         }
         results
@@ -673,32 +625,18 @@ impl Engine {
     /// Ops whose staged ledger assumptions no longer hold — or that target
     /// a shard already invalidated this segment — re-execute sequentially,
     /// which preserves bit-identical semantics in every interleaving.
-    ///
-    /// Returns the prestaged pure halves of the `File_Add` ops among
-    /// `upcoming_barriers` (computed inside the staging pool run, i.e.
-    /// concurrently with the shard workers), one slot per barrier op;
-    /// empty when the segment committed sequentially — the dispatcher then
-    /// computes each prestage inline through the same pure function.
-    fn commit_segment(
-        &mut self,
-        segment: &[Op],
-        upcoming_barriers: &[Op],
-        results: &mut Vec<Result<Receipt, EngineError>>,
-    ) -> Vec<Option<FileAddPrestage>> {
-        if segment.is_empty() && upcoming_barriers.is_empty() {
-            return Vec::new();
-        }
-        if segment.len() < tuning::parallel_ingest_threshold()
+    fn commit_segment(&mut self, segment: &[Op], results: &mut Vec<Result<Receipt, EngineError>>) {
+        if segment.len() < PARALLEL_INGEST_THRESHOLD
             || self.params.ingest_threads <= 1
             || self.shards.shards.len() <= 1
         {
             for op in segment {
                 results.push(self.apply(op.clone()));
             }
-            return Vec::new();
+            return;
         }
         let stage_start = Instant::now();
-        let (staged, prestages) = self.stage_segment(segment, upcoming_barriers);
+        let staged = self.stage_segment(segment);
         self.phase.stage_s += stage_start.elapsed().as_secs_f64();
         self.stats_global.batches_staged_parallel += 1;
 
@@ -734,7 +672,6 @@ impl Engine {
             self.stats_global.batches_fell_back_sequential += 1;
         }
         self.phase.commit_s += commit_start.elapsed().as_secs_f64();
-        prestages
     }
 
     /// The op log: every applied op in order, successes and failures alike.
@@ -876,7 +813,7 @@ impl Engine {
     // file_ids / sector_ids / events — live on the [`StateView`] impl,
     // the one read surface shared with the root-pinned historical reader.
 
-    /// Scheduled `Auto_*` tasks across all shard wheels.
+    /// Scheduled `Auto_*` tasks across all shard pending lists.
     pub fn pending_task_count(&self) -> usize {
         self.shards.pending_len()
     }
@@ -1079,7 +1016,7 @@ impl Engine {
     ///    for the dispatch;
     /// 2. **commit** — the per-shard slices merged back into global
     ///    `(time, schedule-seq)` order — exactly the order a single
-    ///    unsharded wheel pops — and applied in that order: large buckets
+    ///    unsharded pending list pops — and applied in that order: large buckets
     ///    on multi-shard engines go through the batched commit path
     ///    (per-shard write batches planned on the pool, applied with
     ///    validated fast paths; see `audit.rs`), everything else through
@@ -1110,8 +1047,7 @@ impl Engine {
             .iter()
             .filter(|(_, _, task, _)| matches!(task, Task::CheckProof(_)))
             .count();
-        if self.shards.shards.len() > 1 && check_proofs >= tuning::parallel_audit_commit_threshold()
-        {
+        if self.shards.shards.len() > 1 && check_proofs >= PARALLEL_AUDIT_COMMIT_THRESHOLD {
             self.commit_bucket_batched(now, batch);
             self.stats_global.audit_commit_batches += 1;
         } else {
@@ -1159,7 +1095,7 @@ impl Engine {
         self.phase = PhaseTimes::default();
     }
 
-    /// Schedules an `Auto_*` task on its shard's wheel, tagging it with
+    /// Schedules an `Auto_*` task on its shard's pending list, tagging it with
     /// the global schedule sequence number that later reconstructs the
     /// canonical commit order.
     pub(super) fn schedule_task(&mut self, time: Time, task: Task) {

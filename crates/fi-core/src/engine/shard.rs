@@ -3,7 +3,7 @@
 //! `Auto_CheckProof` audits are independent per (file, replica) — the
 //! paper's scalability claim rests on it — so all per-file state lives in
 //! a [`Shard`]: the file descriptors, the allocation table rows, the
-//! discard reasons, the shard's own `Auto_*` task wheel, and the shard's
+//! discard reasons, the shard's own `Auto_*` pending list, and the shard's
 //! slice of the engine counters. [`ShardedState`] routes by
 //! `FileId % shards`; since file ids come from one global counter, shard
 //! `s` of `n` owns exactly the strided ids `s, s + n, s + 2n, …` — the
@@ -17,7 +17,7 @@
 //! (`engine/batch.rs`) borrow them immutably in parallel (`Shard` is
 //! `Sync`).
 
-use fi_chain::tasks::{Scheduler, SchedulerKind, Time};
+use fi_chain::tasks::{PendingList, Time};
 
 use crate::types::{AllocEntry, FileDescriptor, FileId, RemovalReason};
 
@@ -27,7 +27,7 @@ use super::{EngineStats, Task};
 /// A task tagged with its global schedule sequence number. The tag is
 /// assigned by the engine in apply order, which is shard-count-invariant,
 /// so sorting a merged bucket by `(time, seq)` reconstructs the exact
-/// order a single unsharded scheduler would pop.
+/// order a single unsharded pending list would pop.
 pub(super) type SeqTask = (u64, Task);
 
 /// One shard's drained slice of a due bucket.
@@ -43,20 +43,20 @@ pub(super) struct Shard {
     pub(super) alloc: TrackedMap<(FileId, u32), AllocEntry>,
     /// Pending removal reasons for this shard's files.
     pub(super) discard_reasons: TrackedMap<FileId, RemovalReason>,
-    /// This shard's `Auto_*` task wheel.
-    pub(super) pending: Scheduler<SeqTask>,
+    /// This shard's `Auto_*` pending list.
+    pub(super) pending: PendingList<SeqTask>,
     /// This shard's slice of the engine counters (merged by
     /// [`Engine::stats`](super::Engine::stats)).
     pub(super) stats: EngineStats,
 }
 
 impl Shard {
-    pub(super) fn new(kind: SchedulerKind, granularity: Time) -> Self {
+    pub(super) fn new() -> Self {
         Shard {
             files: TrackedMap::new(),
             alloc: TrackedMap::new(),
             discard_reasons: TrackedMap::new(),
-            pending: Scheduler::new(kind, granularity),
+            pending: PendingList::new(),
             stats: EngineStats::default(),
         }
     }
@@ -70,10 +70,10 @@ pub(super) struct ShardedState {
 
 impl ShardedState {
     /// Creates `count` empty shards (validated ≥ 1 by `ProtocolParams`).
-    pub(super) fn new(count: usize, kind: SchedulerKind, granularity: Time) -> Self {
+    pub(super) fn new(count: usize) -> Self {
         assert!(count >= 1, "shard count must be positive");
         ShardedState {
-            shards: (0..count).map(|_| Shard::new(kind, granularity)).collect(),
+            shards: (0..count).map(|_| Shard::new()).collect(),
         }
     }
 
@@ -170,7 +170,7 @@ impl ShardedState {
     }
 
     // ------------------------------------------------------------------
-    // Task wheels
+    // Pending lists
     // ------------------------------------------------------------------
 
     /// Which shard executes a task: its file's shard; global tasks
@@ -184,16 +184,16 @@ impl ShardedState {
         }
     }
 
-    /// Schedules `task` at `time` on its shard's wheel, tagged with the
+    /// Schedules `task` at `time` on its shard's pending list, tagged with the
     /// caller-assigned global sequence number.
     pub(super) fn schedule(&mut self, seq: u64, time: Time, task: Task) {
         let idx = self.task_shard(&task);
         self.shards[idx].pending.schedule(time, (seq, task));
     }
 
-    /// Earliest pending task time across all shards — the sharded
-    /// equivalent of [`Scheduler::next_time`] (see
-    /// [`fi_chain::tasks::next_time_across`] for the general form).
+    /// Earliest pending task time across all shards — what one unsharded
+    /// [`PendingList::next_time`] would report, since sharding only
+    /// partitions the task population.
     pub(super) fn next_task_time(&self) -> Option<Time> {
         self.shards
             .iter()
@@ -201,9 +201,9 @@ impl ShardedState {
             .min()
     }
 
-    /// Drains every task due at or before `now`, one slice per shard —
-    /// the wheel-embedded equivalent of
-    /// [`fi_chain::tasks::pop_due_across`].
+    /// Drains every task due at or before `now`, one slice per shard, each
+    /// in that shard's `(time, insertion)` order. Merging the slices on
+    /// `(time, seq)` reproduces a single list's pop order.
     pub(super) fn pop_due(&mut self, now: Time) -> Vec<ShardSlice> {
         self.shards
             .iter_mut()

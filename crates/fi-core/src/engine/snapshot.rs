@@ -27,9 +27,10 @@
 //!
 //! ```text
 //! magic   8 bytes  b"FISNAPSH"
-//! version u16      currently 4 (1 predates the PR 5 node/mempool params,
-//!                  2 predates the PR 6 tombstone-retention param,
-//!                  3 predates the PR 8 audit-batch stats)
+//! version u16      currently 5 (1 predates the node/mempool params,
+//!                  2 predates the tombstone-retention param,
+//!                  3 predates the audit-batch stats,
+//!                  4 carries a since-removed pending-list selector byte)
 //! payload ...      field-by-field engine state (see encode())
 //! hash    32 bytes sha256 over magic ‖ version ‖ payload
 //! ```
@@ -56,7 +57,7 @@ use std::sync::Arc;
 use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_chain::block::{BlockChain, ChainEvent};
 use fi_chain::gas::GasSchedule;
-use fi_chain::tasks::{SchedulerKind, Time};
+use fi_chain::tasks::Time;
 use fi_crypto::{sha256, DetRng, DetRngState, Hash256};
 use fi_store::{Hamt, StoreError};
 
@@ -74,11 +75,12 @@ use super::statemap::{self, CommitCell, StateRoots, TrackedMap};
 use super::{Checkpoint, Engine, EngineStats, Task};
 
 const MAGIC: &[u8; 8] = b"FISNAPSH";
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 /// Incremental-snapshot envelope: same self-hash discipline as FISNAPSH,
-/// its own magic and version lineage.
+/// its own magic and version lineage (version 1 embeds the version-4
+/// FISNAPSH params section).
 const DELTA_MAGIC: &[u8; 8] = b"FIDELTA1";
-const DELTA_VERSION: u16 = 1;
+const DELTA_VERSION: u16 = 2;
 const HASH_LEN: usize = 32;
 
 /// Typed failures of [`Engine::snapshot_restore`]. Corrupted or
@@ -314,10 +316,6 @@ fn enc_params(e: &mut Enc, p: &ProtocolParams) {
     e.bool(p.poisson_rebalance);
     e.u64(p.seed);
     e.u64(p.block_interval);
-    e.u8(match p.scheduler {
-        SchedulerKind::Wheel => 0,
-        SchedulerKind::BTree => 1,
-    });
     e.usize(p.shards);
     e.u32(p.audit_path_len);
     e.usize(p.ingest_threads);
@@ -349,11 +347,6 @@ fn dec_params(d: &mut Dec<'_>) -> Result<ProtocolParams, SnapshotError> {
         poisson_rebalance: d.bool()?,
         seed: d.u64()?,
         block_interval: d.u64()?,
-        scheduler: match d.u8()? {
-            0 => SchedulerKind::Wheel,
-            1 => SchedulerKind::BTree,
-            _ => return Err(SnapshotError::Malformed("scheduler kind tag")),
-        },
         shards: d.u64()? as usize,
         audit_path_len: d.u32()?,
         ingest_threads: d.u64()? as usize,
@@ -607,7 +600,7 @@ fn dec_all_stats(
 fn enc_tasks(e: &mut Enc, shards: &ShardedState) {
     // Pending Auto_* tasks, canonically ordered by (time, seq). Tasks
     // are scheduled with a monotonic global sequence, so re-scheduling
-    // in this order reproduces every wheel's pop order exactly.
+    // in this order reproduces every shard's pop order exactly.
     let mut tasks: Vec<(Time, u64, &Task)> = shards
         .shards
         .iter()
@@ -956,7 +949,7 @@ impl Engine {
         } = counters;
         let (stats_global, shard_stats) = dec_all_stats(&mut d, params.shards)?;
 
-        let mut shards = ShardedState::new(params.shards, params.scheduler, params.block_interval);
+        let mut shards = ShardedState::new(params.shards);
         for (shard, stats) in shards.shards.iter_mut().zip(shard_stats) {
             shard.stats = stats;
         }
@@ -1225,7 +1218,7 @@ impl Engine {
         let ledger = dec_ledger(&mut d)?;
         let counters = dec_counters(&mut d)?;
         let (stats_global, shard_stats) = dec_all_stats(&mut d, params.shards)?;
-        let mut shards = ShardedState::new(params.shards, params.scheduler, params.block_interval);
+        let mut shards = ShardedState::new(params.shards);
         for (shard, stats) in shards.shards.iter_mut().zip(shard_stats) {
             shard.stats = stats;
         }

@@ -686,6 +686,34 @@ fn state_root_changes_with_activity() {
     assert_eq!(e2.state_root(), r0, "deterministic initial state");
 }
 
+/// A proof cycle of 10^9 blocks: the pending list costs one entry per
+/// scheduled task however far ahead it lies, so files still add, confirm
+/// and arm their first `Auto_CheckProof` a billion blocks out.
+#[test]
+fn billion_block_proof_cycle_keeps_pending_list_small() {
+    let params = test_params();
+    let cycle = 1_000_000_000 * params.block_interval;
+    let mut e = engine_with(ProtocolParams {
+        proof_cycle: cycle,
+        proof_due: cycle,
+        proof_deadline: 2 * cycle,
+        ..params
+    });
+    e.sector_register(PROVIDER, 640).unwrap();
+    e.sector_register(PROVIDER2, 640).unwrap();
+    let files: Vec<FileId> = (0..4).map(|_| add_one_file(&mut e, 8)).collect();
+    for _ in 0..20 {
+        e.tick();
+    }
+    // One armed `Auto_CheckProof` per file plus the rent distribution.
+    assert_eq!(e.pending_task_count(), files.len() + 1);
+    assert_eq!(e.file_ids(), files);
+    for f in files {
+        assert_eq!(e.file(f).unwrap().state, FileState::Normal);
+    }
+    check_space_invariants(&e);
+}
+
 #[test]
 fn deterministic_replay() {
     let run = || {

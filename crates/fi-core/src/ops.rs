@@ -179,8 +179,8 @@ impl Op {
 
     /// Canonical digests of many ops in one multi-lane sweep — bit-identical
     /// to mapping [`Op::digest`], but the SHA-256 work runs through the
-    /// batched backend. The batch-ingest path pre-stages whole blocks of op
-    /// digests this way.
+    /// batched backend. Each batch-ingest staging worker hashes its share
+    /// of a segment's ops this way.
     pub fn digest_many(ops: &[&Op]) -> Vec<Hash256> {
         let texts: Vec<String> = ops.iter().map(|op| format!("{op:?}")).collect();
         let lanes: Vec<[&[u8]; 2]> = ops

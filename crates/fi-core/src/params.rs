@@ -1,7 +1,7 @@
 //! Protocol parameters (Table I and §IV of the paper) and derived formulas.
 
 use fi_chain::account::TokenAmount;
-use fi_chain::tasks::{SchedulerKind, Time};
+use fi_chain::tasks::Time;
 
 /// All tunable constants of a FileInsurer deployment.
 ///
@@ -66,13 +66,8 @@ pub struct ProtocolParams {
     pub seed: u64,
     /// Consensus block interval in time ticks.
     pub block_interval: Time,
-    /// Pending-list implementation for `Auto_*` tasks. The epoch-bucketed
-    /// wheel is the default; the BTreeMap variant is kept for like-for-like
-    /// benchmarking and differential tests — consensus execution is
-    /// identical either way.
-    pub scheduler: SchedulerKind,
     /// Engine shard count: per-file state (descriptors, allocation entries,
-    /// task wheel) is partitioned by `FileId % shards`, and the read-only
+    /// pending list) is partitioned by `FileId % shards`, and the read-only
     /// verify phase of `Auto_CheckProof` fans out across shards. Consensus
     /// results are bit-identical for every shard count (see DESIGN.md §9),
     /// so this is a deployment/performance knob, not a consensus parameter.
@@ -175,7 +170,6 @@ impl Default for ProtocolParams {
             poisson_rebalance: false,
             seed: 0xF11E_1245,
             block_interval: 10,
-            scheduler: SchedulerKind::Wheel,
             shards: default_shards(),
             audit_path_len: 8,
             ingest_threads: default_ingest_threads(),

@@ -4,7 +4,6 @@
 //! makes the op log the canonical ledger history.
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_chain::tasks::SchedulerKind;
 use fi_core::engine::{Engine, StateView};
 use fi_core::params::ProtocolParams;
 use fi_core::types::SectorState;
@@ -115,24 +114,6 @@ fn random_workloads_replay_to_identical_chains() {
         );
         assert_replay_matches(&engine, params);
     }
-}
-
-#[test]
-fn replay_is_scheduler_agnostic() {
-    // The wheel and the BTreeMap scheduler execute tasks identically, so a
-    // log recorded under one replays to the same chain under the other.
-    let wheel_params = ProtocolParams {
-        k: 3,
-        delay_per_size: 6,
-        scheduler: SchedulerKind::Wheel,
-        ..ProtocolParams::default()
-    };
-    let btree_params = ProtocolParams {
-        scheduler: SchedulerKind::BTree,
-        ..wheel_params.clone()
-    };
-    let engine = random_workload(99, &wheel_params);
-    assert_replay_matches(&engine, btree_params);
 }
 
 /// Checkpoint + truncate bounds op-log growth without losing replayability:

@@ -3,7 +3,7 @@
 //! state roots, same chain head, same stats — because sharding only
 //! partitions per-file state and parallelizes the read-only audit verify
 //! phase; the commit phase merges per-shard slices back into the global
-//! `(time, schedule-seq)` order a single wheel would pop (DESIGN.md §9).
+//! `(time, schedule-seq)` order a single pending list would pop (DESIGN.md §9).
 //!
 //! The 100k-file version of the equality assertion runs in the
 //! `engine_snapshot` bench (CI-gated); here randomized workloads with

@@ -208,9 +208,8 @@ fn wrong_version_foreign_magic_and_trailing_bytes_are_typed() {
     drive_workload(&mut live, 47, 25);
     let bytes = live.snapshot_save();
 
-    // Bump the version past the current format (v3 — v1 predates the
-    // PR 5 node/mempool params, v2 the PR 6 tombstone-retention param)
-    // and re-seal with a fresh self-hash.
+    // Bump the version past the current format and re-seal with a fresh
+    // self-hash.
     let mut wrong_version = bytes.clone();
     wrong_version[8..10].copy_from_slice(&99u16.to_be_bytes());
     let body_len = wrong_version.len() - 32;
@@ -249,4 +248,47 @@ fn wrong_version_foreign_magic_and_trailing_bytes_are_typed() {
 
     // And the pristine bytes still restore.
     assert!(Engine::snapshot_restore(&bytes).is_ok());
+}
+
+/// Re-stamps an envelope's version field and re-seals its self-hash, so
+/// the bytes are well-formed apart from the version.
+fn restamp_version(bytes: &[u8], version: u16) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..10].copy_from_slice(&version.to_be_bytes());
+    let body_len = out.len() - 32;
+    let digest = fi_crypto::sha256(&out[..body_len]);
+    out[body_len..].copy_from_slice(digest.as_bytes());
+    out
+}
+
+/// FISNAPSH 4 and FIDELTA1 1 carried a pending-list selector byte in the
+/// params section that the current layout dropped. Bytes stamped with
+/// those versions must be refused at the version gate with the typed
+/// error, never decoded field-shifted.
+#[test]
+fn previous_format_versions_are_refused_at_the_version_gate() {
+    let mut live = Engine::new(snap_params(2)).expect("valid params");
+    drive_workload(&mut live, 53, 25);
+    let full = live.snapshot_save();
+    assert_eq!(u16::from_be_bytes([full[8], full[9]]), 5);
+    assert_eq!(
+        Engine::snapshot_restore(&restamp_version(&full, 4)).expect_err("v4 snapshot"),
+        SnapshotError::UnsupportedVersion(4)
+    );
+
+    let base = live.clone();
+    let base_roots = base.state_roots();
+    drive_workload(&mut live, 54, 5);
+    let delta = live.snapshot_delta(&base_roots).expect("delta");
+    assert_eq!(&delta[..8], b"FIDELTA1");
+    assert_eq!(u16::from_be_bytes([delta[8], delta[9]]), 2);
+    let err =
+        Engine::snapshot_restore_delta(&restamp_version(&delta, 1), &base).expect_err("v1 delta");
+    assert_eq!(
+        err,
+        fi_core::Error::Snapshot(SnapshotError::UnsupportedVersion(1))
+    );
+    // The current-version bytes still apply.
+    let restored = Engine::snapshot_restore_delta(&delta, &base).expect("v2 delta");
+    assert_eq!(restored.state_root(), live.state_root());
 }
